@@ -102,10 +102,17 @@ type Pass struct{ pos }
 type Break struct{ pos }
 type Continue struct{ pos }
 
-// Import is `import name` (modules: json, re, math).
+// Import is `import m, ...` or `from m import a, ...`; each entry of
+// Binds binds one name.
 type Import struct {
 	pos
-	Names []string
+	Binds []ImportBind
+}
+
+// ImportBind binds Name to module Module (Attr empty) or to the
+// module's attribute Attr.
+type ImportBind struct {
+	Name, Module, Attr string
 }
 
 // Del is `del target`.

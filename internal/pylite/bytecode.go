@@ -540,7 +540,15 @@ func (c *bcompiler) scanLocals(body []Stmt) error {
 		case *Try:
 			return bcErrf("%s: try/except is closure-tier only", c.fn.Name)
 		case *Import:
-			return bcErrf("%s: function-level import is closure-tier only", c.fn.Name)
+			// Modules are immutable singletons, so an import binds a
+			// constant. An unknown module stays on the closure tier,
+			// which raises the ImportError when the statement runs.
+			for _, b := range s.Binds {
+				if _, err := b.value(); err != nil {
+					return bcErrf("%s: failing import is closure-tier only (%v)", c.fn.Name, err)
+				}
+				c.addLocal(b.Name, false)
+			}
 		case *Del:
 			return bcErrf("%s: del is closure-tier only", c.fn.Name)
 		case *FuncDef, *ClassDef:
@@ -848,6 +856,12 @@ func (c *bcompiler) stmt(st Stmt) error {
 		c.emit(Instr{Op: OpJump, A: c.loops[len(c.loops)-1].contTarget})
 		return nil
 	case *Pass:
+		return nil
+	case *Import:
+		for _, b := range s.Binds {
+			v, _ := b.value() // resolved in scanLocals
+			c.emit(Instr{Op: OpConst, Dst: c.slots[b.Name], Val: v})
+		}
 		return nil
 	case *Raise:
 		// Raising is the error path: the closure tier re-runs the row and

@@ -228,9 +228,9 @@ func collectLocals(body []Stmt, c *compiler) {
 				c.slot(s.Name)
 			}
 		case *Import:
-			for _, n := range s.Names {
-				if !c.globals[n] {
-					c.slot(n)
+			for _, b := range s.Binds {
+				if !c.globals[b.Name] {
+					c.slot(b.Name)
 				}
 			}
 		case *ExprStmt:
@@ -603,25 +603,25 @@ func (c *compiler) compileStmt(st Stmt) (cStmt, error) {
 	case *Global:
 		return func(f *cframe) (flow, error) { return flowZero, nil }, nil
 	case *Import:
-		names := s.Names
-		slots := make([]int, len(names))
-		for i, n := range names {
-			if c.globals[n] {
+		binds := s.Binds
+		slots := make([]int, len(binds))
+		for i, b := range binds {
+			if c.globals[b.Name] {
 				slots[i] = -1
 			} else {
-				slots[i] = c.slot(n)
+				slots[i] = c.slot(b.Name)
 			}
 		}
 		return func(f *cframe) (flow, error) {
-			for i, n := range names {
-				m, err := importModule(n)
+			for i, b := range binds {
+				v, err := b.value()
 				if err != nil {
 					return flowZero, err
 				}
 				if slots[i] >= 0 {
-					f.slots[slots[i]] = m
+					f.slots[slots[i]] = v
 				} else {
-					f.it.Globals.Set(n, m)
+					f.it.Globals.Set(b.Name, v)
 				}
 			}
 			return flowZero, nil

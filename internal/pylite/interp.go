@@ -505,20 +505,12 @@ func (it *Interp) execStmt(fr *frame, st Stmt) (flow, error) {
 	case *Continue:
 		return flow{kind: flowContinue}, nil
 	case *Import:
-		for _, name := range s.Names {
-			m, err := importModule(name)
+		for _, b := range s.Binds {
+			v, err := b.value()
 			if err != nil {
 				return flowZero, err
 			}
-			fr.env.Set(name, m)
-			// `from mod import x` support: expose module attrs too.
-			if mo, ok := m.P.(*ModuleObj); ok {
-				for k, v := range mo.Attrs {
-					if _, exists := fr.env.Lookup(k); !exists {
-						fr.env.Set(k, v)
-					}
-				}
-			}
+			fr.env.Set(b.Name, v)
 		}
 		return flowZero, nil
 	case *Del:

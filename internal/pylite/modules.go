@@ -9,21 +9,43 @@ import (
 	"qfusor/internal/data"
 )
 
+// modules holds every supported module, built once at package init;
+// importModule hands out these singletons, as CPython's sys.modules
+// does. Sharing one instance across every Interp and goroutine is safe
+// because a module is immutable after init: setAttr rejects modules,
+// and nothing writes a ModuleObj's Attrs. No module-level builtin
+// captures per-call state either — json, math, itertools and string
+// capture nothing mutable, and re's functions share only the
+// concurrency-safe regexCache. Objects a builtin returns (match
+// objects, compiled patterns, generators) are built per call.
+var modules = map[string]data.Value{
+	"json":      jsonModule(),
+	"re":        reModule(),
+	"math":      mathModule(),
+	"itertools": itertoolsModule(),
+	"string":    stringModule(),
+}
+
 // importModule resolves `import name` for the supported module set.
 func importModule(name string) (data.Value, error) {
-	switch name {
-	case "json":
-		return jsonModule(), nil
-	case "re":
-		return reModule(), nil
-	case "math":
-		return mathModule(), nil
-	case "itertools":
-		return itertoolsModule(), nil
-	case "string":
-		return stringModule(), nil
+	if m, ok := modules[name]; ok {
+		return m, nil
 	}
 	return data.Null, raisef("ImportError", "no module named %q", name)
+}
+
+// value resolves one binding of an import statement: the module
+// itself for `import m`, or its attribute for `from m import a`.
+func (b ImportBind) value() (data.Value, error) {
+	m, err := importModule(b.Module)
+	if err != nil || b.Attr == "" {
+		return m, err
+	}
+	v, ok := m.P.(*ModuleObj).Attrs[b.Attr]
+	if !ok {
+		return data.Null, raisef("ImportError", "cannot import name %q from %q", b.Attr, b.Module)
+	}
+	return v, nil
 }
 
 func moduleOf(name string, attrs map[string]data.Value) data.Value {

@@ -273,38 +273,39 @@ func (p *parser) parseSimpleStmt() (Stmt, error) {
 			return &Continue{pos: ps}, nil
 		case "import":
 			p.next()
-			var names []string
+			var binds []ImportBind
 			for {
-				n, err := p.expectName()
+				m, err := p.expectName()
 				if err != nil {
 					return nil, err
 				}
-				names = append(names, n)
+				binds = append(binds, ImportBind{Name: m, Module: m})
 				if !p.acceptOp(",") {
 					break
 				}
 			}
-			return &Import{pos: ps, Names: names}, nil
+			return &Import{pos: ps, Binds: binds}, nil
 		case "from":
-			// `from mod import a, b` — treated as `import mod` for the
-			// module set we support; names resolve via the module anyway.
 			p.next()
-			n, err := p.expectName()
+			m, err := p.expectName()
 			if err != nil {
 				return nil, err
 			}
 			if err := p.expectKw("import"); err != nil {
 				return nil, err
 			}
+			var binds []ImportBind
 			for {
-				if _, err := p.expectName(); err != nil {
+				a, err := p.expectName()
+				if err != nil {
 					return nil, err
 				}
+				binds = append(binds, ImportBind{Name: a, Module: m, Attr: a})
 				if !p.acceptOp(",") {
 					break
 				}
 			}
-			return &Import{pos: ps, Names: []string{n}}, nil
+			return &Import{pos: ps, Binds: binds}, nil
 		case "del":
 			p.next()
 			e, err := p.parseExpr()

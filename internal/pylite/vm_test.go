@@ -464,7 +464,7 @@ func TestVMRejects(t *testing.T) {
 		"kwargs":    "def f(xs):\n    return sorted(xs, key=len)\n",
 		"nested":    "def f():\n    def g():\n        return 1\n    return g()\n",
 		"lambda":    "def f(xs):\n    k = lambda v: v\n    return k(xs)\n",
-		"import":    "def f():\n    import json\n    return 1\n",
+		"import":    "def f():\n    import numpy\n    return 1\n",
 		"del":       "def f(d):\n    del d[\"k\"]\n    return d\n",
 	}
 	for name, src := range cases {

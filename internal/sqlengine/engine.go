@@ -428,7 +428,9 @@ func (e *Engine) callScalarUDFRow(u *ffi.UDF, args []data.Value) (data.Value, er
 				c.AppendValue(a)
 				cols[i] = c
 			}
-			out, err := ffi.CallFusedVector(u, cols, 1, []string{u.Name}, []data.Kind{u.OutKind()})
+			out, err := onWorker(u, func(cu *ffi.UDF) ([]*data.Column, error) {
+				return ffi.CallFusedVector(cu, cols, 1, []string{u.Name}, []data.Kind{u.OutKind()})
+			})
 			if err != nil {
 				return data.Null, err
 			}

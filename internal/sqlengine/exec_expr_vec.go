@@ -551,7 +551,9 @@ func (e *Engine) evalScalarUDFVec(u *ffi.UDF, ex *FuncExpr, ch *data.Chunk, memo
 	if u.Fused {
 		// Fused wrapper: one boundary crossing, the loop runs inside the
 		// UDF runtime as a single trace.
-		cols, err := ffi.CallFusedVector(u, argCols, n, []string{u.Name}, []data.Kind{u.OutKind()})
+		cols, err := onWorker(u, func(cu *ffi.UDF) ([]*data.Column, error) {
+			return ffi.CallFusedVector(cu, argCols, n, []string{u.Name}, []data.Kind{u.OutKind()})
+		})
 		if err != nil {
 			return nil, err
 		}

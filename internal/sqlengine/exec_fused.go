@@ -70,7 +70,9 @@ func (e *Engine) runFused(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk, 
 	}
 	if p.Op == OpFused {
 		if p.NoPartition {
-			cols, err := ffi.CallFusedVectorTo(ectx.led, p.UDF, args, n, names, kinds)
+			cols, err := onWorker(p.UDF, func(cu *ffi.UDF) ([]*data.Column, error) {
+				return ffi.CallFusedVectorTo(ectx.led, cu, args, n, names, kinds)
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -91,7 +93,9 @@ func (e *Engine) runFused(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk, 
 		if e.Workers() > 1 && !p.NoPartition && tr.PartialMergeable() && n >= minParallelRows {
 			return e.runTraceAggMorsels(p.UDF, tr, args, n, names, kinds, ectx)
 		}
-		cols, err := ffi.RunTraceAggTo(ectx.led, p.UDF, tr, args, n, names, kinds)
+		cols, err := onWorker(p.UDF, func(cu *ffi.UDF) ([]*data.Column, error) {
+			return ffi.RunTraceAggTo(ectx.led, cu, tr, args, n, names, kinds)
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -130,8 +134,10 @@ func (e *Engine) runFused(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk, 
 			groupIDs[i] = gid
 		}
 		g := len(groupRows)
-		aggCols, err := ffi.CallFusedAggVectorTo(ectx.led, p.UDF, args, n, groupIDs, g,
-			names[nKeys:], kinds[nKeys:])
+		aggCols, err := onWorker(p.UDF, func(cu *ffi.UDF) ([]*data.Column, error) {
+			return ffi.CallFusedAggVectorTo(ectx.led, cu, args, n, groupIDs, g,
+				names[nKeys:], kinds[nKeys:])
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -151,11 +157,25 @@ func (e *Engine) runFused(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk, 
 	if g == 0 {
 		g = 1
 	}
-	aggCols, err := ffi.CallFusedAggVectorTo(ectx.led, p.UDF, args, n, groupIDs, g, names, kinds)
+	aggCols, err := onWorker(p.UDF, func(cu *ffi.UDF) ([]*data.Column, error) {
+		return ffi.CallFusedAggVectorTo(ectx.led, cu, args, n, groupIDs, g, names, kinds)
+	})
 	if err != nil {
 		return nil, err
 	}
 	return data.NewChunk(aggCols...), nil
+}
+
+// onWorker runs one serial execution of a fused wrapper on a worker
+// clone and folds the clone's statistics back afterwards. A cached
+// wrapper is shared by every query that hits the plan cache, and an
+// interpreter view is single-threaded (the VM stages builtin arguments
+// in per-Interp scratch), so no execution path may run u.RT directly:
+// two concurrent queries would share it.
+func onWorker(u *ffi.UDF, run func(cu *ffi.UDF) ([]*data.Column, error)) ([]*data.Column, error) {
+	cu := u.WorkerClone()
+	defer u.AbsorbWorker(cu)
+	return run(cu)
 }
 
 // runFusedMorsels drives a stateless fused wrapper over morsels of the
@@ -166,7 +186,9 @@ func (e *Engine) runFused(p *Plan, in *data.Chunk, ectx *execCtx) (*data.Chunk, 
 func (e *Engine) runFusedMorsels(u *ffi.UDF, argChunk *data.Chunk, n int, names []string, kinds []data.Kind, ectx *execCtx) (*data.Chunk, error) {
 	spans := e.morselsFor(n)
 	if len(spans) == 1 && e.Workers() <= 1 {
-		cols, err := ffi.CallFusedVectorTo(ectx.led, u, argChunk.Cols, n, names, kinds)
+		cols, err := onWorker(u, func(cu *ffi.UDF) ([]*data.Column, error) {
+			return ffi.CallFusedVectorTo(ectx.led, cu, argChunk.Cols, n, names, kinds)
+		})
 		if err != nil {
 			return nil, err
 		}

@@ -42,3 +42,9 @@ go run ./cmd/qfusor-bench -inline-smoke
 # plan-cache or fusion correctness bug. FUZZTIME can be shortened for
 # fast local iteration.
 go test -run '^$' -fuzz FuzzDiff -fuzztime "${FUZZTIME:-30s}" ./internal/core
+# JSON decoder fuzz smoke: the single-pass decoder against the
+# encoding/json reference — same Kind and repr on valid input, an error
+# from both on invalid input. The fuzzer minimizes every new input it
+# finds, which on this cheap target can eat a short run whole, so
+# minimization is capped.
+go test -run '^$' -fuzz FuzzJSONDecode -fuzztime "${FUZZTIME:-10s}" -fuzzminimizetime 1s ./internal/data
